@@ -517,9 +517,11 @@ func BenchmarkPlacement(b *testing.B) {
 // fingerprint-keyed evaluation cache (the repeated-search pattern of
 // ComparePlacements and serve recompilation — search is deterministic,
 // so revisited layouts are priced exactly once across the whole
-// benchmark). steps/s is the candidate-evaluation rate, cache-hit-% the
-// evaluator's cumulative hit rate (the acceptance floor is ≥50%), and
-// inf/s the searched layout's engine-measured objective.
+// benchmark). Like ComparePlacements, each search scores its candidates
+// serially (Workers: 1), so allocs/op does not depend on -cpu.
+// steps/s is the candidate-evaluation rate, cache-hit-% the evaluator's
+// cumulative hit rate (the acceptance floor is ≥50%), and inf/s the
+// searched layout's engine-measured objective.
 func BenchmarkPlacerSearch(b *testing.B) {
 	cfg := eval.DefaultConfig()
 	simulator, err := sim.New(cfg.Arch, cfg.Costs)
@@ -537,7 +539,7 @@ func BenchmarkPlacerSearch(b *testing.B) {
 	}
 	search := func() *compiler.SearchPlacer {
 		sp, err := compiler.NewSearchPlacer(model, cfg.Arch, arch.EinsteinBarrier, pe,
-			compiler.SearchOptions{Seed: 1})
+			compiler.SearchOptions{Seed: 1, Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -556,7 +558,7 @@ func BenchmarkPlacerSearch(b *testing.B) {
 	}
 	st := sp.Stats()
 	b.ReportMetric(float64(b.N*st.Steps)/b.Elapsed().Seconds(), "steps/s")
-	b.ReportMetric(100*pe.HitRate(), "cache-hit-%")
+	b.ReportMetric(100*pe.Counters().HitRate(), "cache-hit-%")
 	b.ReportMetric(st.BestScore, "inf/s")
 }
 

@@ -23,8 +23,8 @@ import (
 type ModelSearch struct {
 	Model string               `json:"model"`
 	Stats compiler.SearchStats `json:"stats"`
-	// Eval is the slot evaluator's perf accounting: cache hits,
-	// singleflight collapses and engine-set pool reuse.
+	// Eval is the slot evaluator's perf accounting: cache hits and
+	// engine-set pool reuse.
 	Eval sim.EvalCounters `json:"eval"`
 }
 

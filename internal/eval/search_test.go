@@ -63,7 +63,7 @@ func TestSearchPlacementGolden(t *testing.T) {
 	// A second sweep against the warm cache is all hits by determinism —
 	// the repeated-search pattern ComparePlacements and the benchmark
 	// rely on — which lifts the overall rate past the pinned floor.
-	l0, h0 := pe.Stats()
+	before := pe.Counters()
 	for _, name := range bnn.ZooNames {
 		m, err := bnn.NewModel(name, 1)
 		if err != nil {
@@ -77,11 +77,11 @@ func TestSearchPlacementGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	l1, h1 := pe.Stats()
-	if h1-h0 != l1-l0 {
-		t.Fatalf("warm second sweep missed: %d lookups, %d hits", l1-l0, h1-h0)
+	after := pe.Counters()
+	if l, h := after.Lookups-before.Lookups, after.Hits-before.Hits; h != l {
+		t.Fatalf("warm second sweep missed: %d lookups, %d hits", l, h)
 	}
-	if rate := pe.HitRate(); rate < 0.5 {
+	if rate := after.HitRate(); rate < 0.5 {
 		t.Fatalf("cache hit rate %.2f below the 50%% floor", rate)
 	}
 }

@@ -173,8 +173,13 @@ func TestClosedLoopRecalibration(t *testing.T) {
 }
 
 // TestClosedLoopAcrossWorkerCounts: the outcome-level invariants hold
-// at any worker count — zero dropped requests, every flagged replica
-// recalibrated and restored above the floor, nothing retired.
+// at any worker count — zero dropped requests, every recalibration
+// restored the replica above the floor, nothing retired. The restore is
+// checked on the post-recalibration probes themselves: a replica's
+// end-of-stream window mean is no guarantee, since it keeps aging after
+// the restore and one below-floor probe (fewer than FlagAfter) lowers
+// the mean without a flag, after a number of batches that depends on
+// how the stream splits across workers.
 func TestClosedLoopAcrossWorkerCounts(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -200,9 +205,19 @@ func TestClosedLoopAcrossWorkerCounts(t *testing.T) {
 				if r.State != repActive {
 					t.Fatalf("replica %d finished in state %q", r.ID, r.State)
 				}
-				if r.Recals > 0 && r.WindowAccuracy < life.Floor {
-					t.Fatalf("replica %d recalibrated but window %.3f below floor", r.ID, r.WindowAccuracy)
+			}
+			restores := 0
+			for _, p := range out.trace {
+				if !p.PostRecal {
+					continue
 				}
+				restores++
+				if p.Accuracy < life.Floor {
+					t.Fatalf("replica %d recalibrated to %.3f, below floor %.3f", p.Replica, p.Accuracy, life.Floor)
+				}
+			}
+			if int64(restores) != lt.Recalibrations {
+				t.Fatalf("%d post-recalibration probes for %d recalibrations", restores, lt.Recalibrations)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"einsteinbarrier/internal/arch"
@@ -229,6 +230,18 @@ func TestRunBatchRejectsBadBatch(t *testing.T) {
 	}
 	if _, err := eng.RunBatch(0); err == nil {
 		t.Fatal("batch 0 must error")
+	}
+}
+
+// TestNewEngineRejectsNilPlacement: the engine prices only placed
+// compilations; a real compilation stripped of its placement is an
+// error, not a silently reconstructed layout.
+func TestNewEngineRejectsNilPlacement(t *testing.T) {
+	s := newSim(t)
+	c := compiled(t, "CNN-S", arch.EinsteinBarrier)
+	c.Placement = nil
+	if _, err := s.NewEngine(c); err == nil || !strings.Contains(err.Error(), "no placement") {
+		t.Fatalf("nil placement: err = %v", err)
 	}
 }
 

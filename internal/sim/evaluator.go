@@ -22,14 +22,14 @@ import (
 // pool of idle engines (engine sets) keyed on the compiled program's
 // structural shape and re-prices a pooled engine (Engine.Reprice /
 // EngineSet.Swap) instead of rebuilding calendars and stages per
-// candidate, and concurrent misses on one fingerprint are collapsed
-// with singleflight so parallel search workers compute it once.
+// candidate. Concurrent misses on one fingerprint are not collapsed:
+// SearchPlacer already dedups a round's misses, and a duplicate
+// compute is deterministic and stores the same value.
 
 // EvalCounters reports what an evaluator did: cache effectiveness and
-// engine-pool reuse. Hits counts memo hits plus singleflight waits
-// (lookups that did not pay a schedule). PoolBuilds/PoolReuses split
-// the computes by whether they constructed an engine or re-priced a
-// pooled one.
+// engine-pool reuse. Hits counts memo hits (lookups that did not pay a
+// schedule). PoolBuilds/PoolReuses split the computes by whether they
+// constructed an engine or re-priced a pooled one.
 type EvalCounters struct {
 	Lookups    int64 `json:"lookups"`
 	Hits       int64 `json:"hits"`
@@ -54,25 +54,84 @@ func (ec EvalCounters) PoolReuseRate() float64 {
 	return float64(ec.PoolReuses) / float64(ec.Computes)
 }
 
-// evalFlight is one in-flight computation other lookups can wait on.
-type evalFlight struct {
-	done chan struct{}
-	br   *BatchResult
-	err  error
+// evalCache is the bookkeeping both evaluators share: a memo of priced
+// values, a pool of idle engines keyed by structural shape, and the
+// counters, all under one mutex. The engine work itself runs unlocked.
+type evalCache[V, E any] struct {
+	mu       sync.Mutex
+	memo     map[string]V
+	pool     map[string][]E
+	counters EvalCounters
+}
+
+// probe reports a memoized value without computing. A hit counts as a
+// lookup+hit; a miss counts nothing (the get that follows records it).
+func (ec *evalCache[V, E]) probe(key string) (V, bool) {
+	ec.mu.Lock()
+	defer ec.mu.Unlock()
+	v, ok := ec.memo[key]
+	if ok {
+		ec.counters.Lookups++
+		ec.counters.Hits++
+	}
+	return v, ok
+}
+
+// get returns key's value from the memo, or computes it. compute gets a
+// pooled engine of the given shape (pooled=true) or the zero E, in
+// which case it must build one; it returns the value and the engine to
+// pool. On error the engine's state is undefined, so it is dropped.
+func (ec *evalCache[V, E]) get(key, shape string, compute func(eng E, pooled bool) (V, E, error)) (V, error) {
+	ec.mu.Lock()
+	if ec.memo == nil {
+		ec.memo, ec.pool = map[string]V{}, map[string][]E{}
+	}
+	ec.counters.Lookups++
+	if v, ok := ec.memo[key]; ok {
+		ec.counters.Hits++
+		ec.mu.Unlock()
+		return v, nil
+	}
+	var eng E
+	idle := ec.pool[shape]
+	pooled := len(idle) > 0
+	if pooled {
+		eng = idle[len(idle)-1]
+		ec.pool[shape] = idle[:len(idle)-1]
+	}
+	ec.mu.Unlock()
+
+	v, eng, err := compute(eng, pooled)
+	if err != nil {
+		return v, err
+	}
+	ec.mu.Lock()
+	defer ec.mu.Unlock()
+	ec.memo[key] = v
+	ec.pool[shape] = append(ec.pool[shape], eng)
+	ec.counters.Computes++
+	if pooled {
+		ec.counters.PoolReuses++
+	} else {
+		ec.counters.PoolBuilds++
+	}
+	return v, nil
+}
+
+// Counters returns a snapshot of the evaluator's perf counters.
+func (ec *evalCache[V, E]) Counters() EvalCounters {
+	ec.mu.Lock()
+	defer ec.mu.Unlock()
+	return ec.counters
 }
 
 // PlacementEvaluator scores one model's candidate placements by batch
-// throughput. Safe for concurrent use; concurrent misses on the same
-// key collapse into one computation (singleflight).
+// throughput. Safe for concurrent use.
 type PlacementEvaluator struct {
+	evalCache[*BatchResult, *Engine] // evaluator-owned result clones
+
 	s     *Simulator
 	batch int
-
-	mu       sync.Mutex
-	memo     map[string]*BatchResult // evaluator-owned clones
-	inflight map[string]*evalFlight
-	pool     map[string][]*Engine // structural shape → idle engines
-	counters EvalCounters
 }
 
 // PlacementEvaluator builds an evaluator that prices candidates with
@@ -81,13 +140,7 @@ func (s *Simulator) PlacementEvaluator(batch int) (*PlacementEvaluator, error) {
 	if batch < 1 {
 		return nil, fmt.Errorf("sim: evaluator batch %d must be ≥ 1", batch)
 	}
-	return &PlacementEvaluator{
-		s:        s,
-		batch:    batch,
-		memo:     map[string]*BatchResult{},
-		inflight: map[string]*evalFlight{},
-		pool:     map[string][]*Engine{},
-	}, nil
+	return &PlacementEvaluator{s: s, batch: batch}, nil
 }
 
 // Batch returns the objective batch size.
@@ -106,18 +159,13 @@ func (pe *PlacementEvaluator) Score(c *compiler.Compiled) (float64, error) {
 // CachedScore implements compiler.CachedEvaluator: it reports a
 // previously priced layout's objective from the fingerprint memo alone,
 // letting the search placer skip candidate compilation entirely on
-// revisits. A probe that hits counts as a lookup+hit; a miss counts
-// nothing (the subsequent Result call records it).
+// revisits.
 func (pe *PlacementEvaluator) CachedScore(model string, design arch.Design, p *compiler.Placement) (float64, bool) {
-	key := model + "/" + design.String() + "/" + p.Fingerprint()
-	pe.mu.Lock()
-	defer pe.mu.Unlock()
-	if br, ok := pe.memo[key]; ok {
-		pe.counters.Lookups++
-		pe.counters.Hits++
-		return br.ThroughputPerSec, true
+	br, ok := pe.probe(model + "/" + design.String() + "/" + p.Fingerprint())
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	return br.ThroughputPerSec, true
 }
 
 // Result returns the full BatchResult of a candidate, from the cache
@@ -127,104 +175,26 @@ func (pe *PlacementEvaluator) Result(c *compiler.Compiled) (*BatchResult, error)
 	if c.Placement == nil {
 		return nil, fmt.Errorf("sim: compiled %s has no placement to fingerprint", c.ModelName)
 	}
-	key := c.ModelName + "/" + c.Design.String() + "/" + c.Placement.Fingerprint()
-	pe.mu.Lock()
-	pe.counters.Lookups++
-	if br, ok := pe.memo[key]; ok {
-		pe.counters.Hits++
-		pe.mu.Unlock()
-		return br, nil
-	}
-	if fl, ok := pe.inflight[key]; ok {
-		// Another goroutine is already pricing this fingerprint: wait for
-		// its result instead of re-running the schedule.
-		pe.counters.Hits++
-		pe.mu.Unlock()
-		<-fl.done
-		return fl.br, fl.err
-	}
-	fl := &evalFlight{done: make(chan struct{})}
-	pe.inflight[key] = fl
-	pe.mu.Unlock()
-
-	br, err := pe.compute(c)
-
-	pe.mu.Lock()
-	fl.br, fl.err = br, err
-	if err == nil {
-		pe.memo[key] = br
-	}
-	delete(pe.inflight, key)
-	pe.mu.Unlock()
-	close(fl.done)
-	return br, err
-}
-
-// compute prices one candidate on a pooled (or fresh) engine and
-// returns an evaluator-owned clone of the result.
-func (pe *PlacementEvaluator) compute(c *compiler.Compiled) (*BatchResult, error) {
 	// Engines are interchangeable across candidates of one (model,
 	// design): the stage structure is fixed, only placements differ.
-	shape := c.ModelName + "|" + c.Design.String()
-	pe.mu.Lock()
-	var eng *Engine
-	if idle := pe.pool[shape]; len(idle) > 0 {
-		eng = idle[len(idle)-1]
-		pe.pool[shape] = idle[:len(idle)-1]
-	}
-	pe.mu.Unlock()
-	reused := eng != nil
-	var err error
-	if reused {
-		err = eng.Reprice(c)
-	} else {
-		eng, err = pe.s.NewEngine(c)
-	}
-	if err != nil {
-		// A failed configure leaves the engine undefined: drop it.
-		return nil, err
-	}
-	br, err := eng.RunBatch(pe.batch)
-	if err != nil {
-		return nil, err
-	}
-	clone := br.Clone()
-	pe.mu.Lock()
-	pe.pool[shape] = append(pe.pool[shape], eng)
-	pe.counters.Computes++
-	if reused {
-		pe.counters.PoolReuses++
-	} else {
-		pe.counters.PoolBuilds++
-	}
-	pe.mu.Unlock()
-	return clone, nil
-}
-
-// Counters returns a snapshot of the evaluator's perf counters.
-func (pe *PlacementEvaluator) Counters() EvalCounters {
-	pe.mu.Lock()
-	defer pe.mu.Unlock()
-	return pe.counters
-}
-
-// Stats returns the cache counters: total lookups and hits.
-func (pe *PlacementEvaluator) Stats() (lookups, hits int64) {
-	pe.mu.Lock()
-	defer pe.mu.Unlock()
-	return pe.counters.Lookups, pe.counters.Hits
-}
-
-// HitRate is hits/lookups (0 before the first lookup).
-func (pe *PlacementEvaluator) HitRate() float64 {
-	return pe.Counters().HitRate()
-}
-
-// setFlight is one in-flight set computation.
-type setFlight struct {
-	done chan struct{}
-	v    float64
-	err  error
+	shape := c.ModelName + "/" + c.Design.String()
+	return pe.get(shape+"/"+c.Placement.Fingerprint(), shape,
+		func(eng *Engine, pooled bool) (*BatchResult, *Engine, error) {
+			var err error
+			if pooled {
+				err = eng.Reprice(c)
+			} else {
+				eng, err = pe.s.NewEngine(c)
+			}
+			if err != nil {
+				return nil, nil, err
+			}
+			br, err := eng.RunBatch(pe.batch)
+			if err != nil {
+				return nil, nil, err
+			}
+			return br.Clone(), eng, nil
+		})
 }
 
 // SetEvaluator scores candidate placements of ONE model of a co-located
@@ -235,16 +205,12 @@ type setFlight struct {
 // fixed for the evaluator's lifetime; co-location search runs one
 // evaluator per model (coordinate descent, eval.SearchCoLocate).
 type SetEvaluator struct {
+	evalCache[float64, *EngineSet] // one shape: every set is built from the same base
+
 	s     *Simulator
 	set   []*compiler.Compiled
 	idx   int
 	batch int
-
-	mu       sync.Mutex
-	memo     map[string]float64
-	inflight map[string]*setFlight
-	pool     []*EngineSet // idle sets (all built from the same base set)
-	counters EvalCounters
 }
 
 // SetEvaluator builds the co-location objective for slot idx of the
@@ -261,14 +227,7 @@ func (s *Simulator) SetEvaluator(set []*compiler.Compiled, idx, batch int) (*Set
 	}
 	cp := make([]*compiler.Compiled, len(set))
 	copy(cp, set)
-	return &SetEvaluator{
-		s:        s,
-		set:      cp,
-		idx:      idx,
-		batch:    batch,
-		memo:     map[string]float64{},
-		inflight: map[string]*setFlight{},
-	}, nil
+	return &SetEvaluator{s: s, set: cp, idx: idx, batch: batch}, nil
 }
 
 // Score implements compiler.Evaluator: AggregatePerSec × FairnessJain
@@ -279,108 +238,30 @@ func (se *SetEvaluator) Score(c *compiler.Compiled) (float64, error) {
 	}
 	// The other slots are fixed, so the candidate's fingerprint alone
 	// keys the memo.
-	key := c.Placement.Fingerprint()
-	se.mu.Lock()
-	se.counters.Lookups++
-	if v, ok := se.memo[key]; ok {
-		se.counters.Hits++
-		se.mu.Unlock()
-		return v, nil
-	}
-	if fl, ok := se.inflight[key]; ok {
-		se.counters.Hits++
-		se.mu.Unlock()
-		<-fl.done
-		return fl.v, fl.err
-	}
-	fl := &setFlight{done: make(chan struct{})}
-	se.inflight[key] = fl
-	se.mu.Unlock()
-
-	v, err := se.compute(c)
-
-	se.mu.Lock()
-	fl.v, fl.err = v, err
-	if err == nil {
-		se.memo[key] = v
-	}
-	delete(se.inflight, key)
-	se.mu.Unlock()
-	close(fl.done)
-	return v, err
+	return se.get(c.Placement.Fingerprint(), "",
+		func(es *EngineSet, pooled bool) (float64, *EngineSet, error) {
+			if !pooled {
+				// The base set (incumbent in the slot) compiles once; Swap
+				// below re-prices the slot with the candidate.
+				var err error
+				if es, err = se.s.NewEngineSet(se.set); err != nil {
+					return 0, nil, err
+				}
+			}
+			if err := es.Swap(se.idx, c); err != nil {
+				return 0, nil, err
+			}
+			sr, err := es.RunSet(se.batch)
+			if err != nil {
+				return 0, nil, err
+			}
+			return sr.AggregatePerSec * sr.FairnessJain, es, nil
+		})
 }
 
 // CachedScore implements compiler.CachedEvaluator (the model/design
 // arguments are ignored: a SetEvaluator is bound to one slot of one
 // set, and the memo is keyed by candidate fingerprint alone).
 func (se *SetEvaluator) CachedScore(_ string, _ arch.Design, p *compiler.Placement) (float64, bool) {
-	key := p.Fingerprint()
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	if v, ok := se.memo[key]; ok {
-		se.counters.Lookups++
-		se.counters.Hits++
-		return v, true
-	}
-	return 0, false
-}
-
-// compute swaps the candidate into a pooled (or fresh) engine set and
-// runs the co-located schedule.
-func (se *SetEvaluator) compute(c *compiler.Compiled) (float64, error) {
-	se.mu.Lock()
-	var es *EngineSet
-	if n := len(se.pool); n > 0 {
-		es = se.pool[n-1]
-		se.pool = se.pool[:n-1]
-	}
-	se.mu.Unlock()
-	reused := es != nil
-	if !reused {
-		var err error
-		// The base set (incumbent in the slot) compiles once; Swap below
-		// re-prices the slot with the candidate.
-		if es, err = se.s.NewEngineSet(se.set); err != nil {
-			return 0, err
-		}
-	}
-	// On any error the set's state is undefined (a half-applied swap, an
-	// overlapping candidate): drop it rather than pooling it.
-	if err := es.Swap(se.idx, c); err != nil {
-		return 0, err
-	}
-	sr, err := es.RunSet(se.batch)
-	if err != nil {
-		return 0, err
-	}
-	v := sr.AggregatePerSec * sr.FairnessJain
-	se.mu.Lock()
-	se.pool = append(se.pool, es)
-	se.counters.Computes++
-	if reused {
-		se.counters.PoolReuses++
-	} else {
-		se.counters.PoolBuilds++
-	}
-	se.mu.Unlock()
-	return v, nil
-}
-
-// Counters returns a snapshot of the evaluator's perf counters.
-func (se *SetEvaluator) Counters() EvalCounters {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	return se.counters
-}
-
-// Stats returns the cache counters: total lookups and hits.
-func (se *SetEvaluator) Stats() (lookups, hits int64) {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	return se.counters.Lookups, se.counters.Hits
-}
-
-// HitRate is hits/lookups (0 before the first lookup).
-func (se *SetEvaluator) HitRate() float64 {
-	return se.Counters().HitRate()
+	return se.probe(p.Fingerprint())
 }

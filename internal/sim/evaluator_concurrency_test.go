@@ -11,14 +11,14 @@ import (
 
 // Concurrency contracts of the evaluators (run under -race in CI):
 // parallel search workers hammering overlapping candidates must agree
-// on every score, and singleflight must collapse concurrent misses so
-// each unique fingerprint is computed exactly once no matter how many
-// goroutines race on it.
+// on every score, and the counters must stay consistent. Concurrent
+// misses on one fingerprint are not collapsed, so a racing goroutine
+// may compute a layout twice — deterministically, to the same value.
 
 // TestPlacementEvaluatorConcurrent: 8 goroutines × 4 rounds over 5
 // candidates (two models, three placers) — every score identical to the
-// serial answer, computes == unique fingerprints, and the bookkeeping
-// identities hold.
+// serial answer, every unique fingerprint computed at least once, and
+// the bookkeeping identities hold.
 func TestPlacementEvaluatorConcurrent(t *testing.T) {
 	s := newSim(t)
 	cfg := arch.DefaultConfig()
@@ -92,8 +92,8 @@ func TestPlacementEvaluatorConcurrent(t *testing.T) {
 	}
 
 	ec := pe.Counters()
-	if ec.Computes != int64(len(unique)) {
-		t.Fatalf("computes = %d, want one per unique fingerprint (%d)", ec.Computes, len(unique))
+	if ec.Computes < int64(len(unique)) {
+		t.Fatalf("computes = %d, want at least one per unique fingerprint (%d)", ec.Computes, len(unique))
 	}
 	if wantL := int64(workers * rounds * len(cands)); ec.Lookups != wantL {
 		t.Fatalf("lookups = %d, want %d", ec.Lookups, wantL)
@@ -179,8 +179,8 @@ func TestSetEvaluatorConcurrent(t *testing.T) {
 	}
 
 	ec := se.Counters()
-	if ec.Computes != int64(len(unique)) {
-		t.Fatalf("computes = %d, want one per unique fingerprint (%d)", ec.Computes, len(unique))
+	if ec.Computes < int64(len(unique)) {
+		t.Fatalf("computes = %d, want at least one per unique fingerprint (%d)", ec.Computes, len(unique))
 	}
 	if ec.Hits != ec.Lookups-ec.Computes {
 		t.Fatalf("hits = %d, want lookups−computes = %d", ec.Hits, ec.Lookups-ec.Computes)

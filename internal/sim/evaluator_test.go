@@ -34,7 +34,7 @@ func TestPlacementEvaluatorValidation(t *testing.T) {
 	if pe.Batch() != 8 {
 		t.Fatalf("Batch() = %d", pe.Batch())
 	}
-	if pe.HitRate() != 0 {
+	if pe.Counters().HitRate() != 0 {
 		t.Fatal("hit rate before first lookup must be 0")
 	}
 	bad := &compiler.Compiled{ModelName: "X"}
@@ -98,16 +98,16 @@ func TestPlacementEvaluatorCaches(t *testing.T) {
 	if first != second {
 		t.Fatalf("cache hit returned different score: %v vs %v", first, second)
 	}
-	if l, h := pe.Stats(); l != 2 || h != 1 {
-		t.Fatalf("lookups=%d hits=%d after an identical recompile", l, h)
+	if ec := pe.Counters(); ec.Lookups != 2 || ec.Hits != 1 {
+		t.Fatalf("lookups=%d hits=%d after an identical recompile", ec.Lookups, ec.Hits)
 	}
 	if _, err := pe.Score(compileOne(t, "MLP-S", compiler.GreedyPlacer{}, cfg)); err != nil {
 		t.Fatal(err)
 	}
-	if l, h := pe.Stats(); l != 3 || h != 1 {
-		t.Fatalf("lookups=%d hits=%d after a different layout", l, h)
+	if ec := pe.Counters(); ec.Lookups != 3 || ec.Hits != 1 {
+		t.Fatalf("lookups=%d hits=%d after a different layout", ec.Lookups, ec.Hits)
 	}
-	if got := pe.HitRate(); got != 1.0/3.0 {
+	if got := pe.Counters().HitRate(); got != 1.0/3.0 {
 		t.Fatalf("hit rate %v", got)
 	}
 	// The cached BatchResult is shared by pointer across hits.
@@ -157,11 +157,12 @@ func TestSetEvaluatorObjective(t *testing.T) {
 		if _, err := se.Score(cs[idx]); err != nil {
 			t.Fatal(err)
 		}
-		if l, h := se.Stats(); l != 2 || h != 1 {
-			t.Fatalf("slot %d: lookups=%d hits=%d", idx, l, h)
+		ec := se.Counters()
+		if ec.Lookups != 2 || ec.Hits != 1 {
+			t.Fatalf("slot %d: lookups=%d hits=%d", idx, ec.Lookups, ec.Hits)
 		}
-		if se.HitRate() != 0.5 {
-			t.Fatalf("slot %d: hit rate %v", idx, se.HitRate())
+		if ec.HitRate() != 0.5 {
+			t.Fatalf("slot %d: hit rate %v", idx, ec.HitRate())
 		}
 	}
 }
